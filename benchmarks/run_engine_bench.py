@@ -28,14 +28,6 @@ workload — both configs of every kernel in both suites, cold — through the
 serial, thread and process batch executors, recording the thread-vs-process
 scaling the session architecture delivers on a whole sweep.
 
-The ``matching`` section (PR 7) times the two e-matching engines head to
-head: every join-capable rule of the default ruleset is searched over the
-saturated micro e-graph with the relational (hash-join) backend and with
-the compiled scan matcher, recording per-rule and per-atom-count medians.
-Both engines return identical rows by construction, so the section is
-pure wall-clock — it exists to keep the join planner honest about where
-it actually wins.
-
 Two scheduling rows (PR 4) exercise the adaptive saturation loop:
 ``saturation_backoff`` re-runs the saturation micro-workload under the
 egg-style exponential-backoff rule scheduler, and ``pipeline_anytime``
@@ -75,7 +67,6 @@ from repro.egraph import (
     RunnerLimits,
     extract_best,
 )
-from repro.egraph import columns
 from repro.egraph.language import op, sym
 from repro.experiments.common import EvaluationSettings, pipeline_workload
 from repro.frontend import parse_statement
@@ -213,12 +204,10 @@ def main(argv=None) -> int:
         return optimize_source(BT_JACOBIAN_SOURCE, large_config)
 
     # -- steady-state saturation (PR 9) ------------------------------------
-    # the batched-apply / delta-join home turf: grow the micro e-graph to
-    # its 30k-node fixpoint once (outside timing), then time confirmation
-    # sweeps on copies — every batch is re-derivation-heavy, which is what
-    # the purity prepass skips in bulk.  The copy is inside the timed
-    # region for both engines alike; the row is only compared against
-    # itself across commits.
+    # grow the micro e-graph to its 30k-node fixpoint once (outside
+    # timing), then time confirmation sweeps on copies — every batch is
+    # re-derivation-heavy.  The copy is inside the timed region; the row
+    # is only compared against itself across commits.
     steady_eg = _saturated_egraph()[0]
     steady_limits = RunnerLimits(30000, 2, _TIME_LIMIT)
     Runner(steady_eg, default_ruleset(), steady_limits).run()
@@ -296,138 +285,6 @@ def main(argv=None) -> int:
         t0 = time.perf_counter()
         _executor_sweep(spec)
         executor_seconds[spec.split(":")[0]] = time.perf_counter() - t0
-
-    # -- relational e-matching micro-benchmark (PR 7) ----------------------
-    # join vs scan, per join-capable rule, on the saturated micro e-graph.
-    # Both engines return the identical row list; the numbers are pure
-    # wall-clock, grouped by atom count so the join's fixed costs (relation
-    # slicing, key encoding) are visible separately from its wins on
-    # high-selectivity multi-atom patterns.
-    matching_rules = []
-    if columns.HAVE_NUMPY:
-        for rule in rules:
-            cp = rule._compiled
-            if cp._atoms is None:
-                continue  # trivial pattern: scan engine only
-            scan_s = _median_time(
-                lambda: cp.search_rows(eg, backend="scan"), args.repeats
-            )
-            try:
-                join_s = _median_time(
-                    lambda: cp.search_rows(eg, backend="join"), args.repeats
-                )
-            except RuntimeError:
-                continue  # join-key overflow guard: engine unavailable here
-            matching_rules.append({
-                "rule": rule.name,
-                "atoms": len(cp._atoms),
-                "vars": len(cp.vars),
-                "hetero": cp._hetero,
-                "rows": len(cp.search_rows(eg, backend="scan")),
-                "scan_seconds": scan_s,
-                "join_seconds": join_s,
-                "speedup_join": scan_s / join_s if join_s > 0 else float("inf"),
-            })
-    # the default ruleset tops out at two atoms per pattern, so a few
-    # synthetic deeper patterns fill in the higher-arity rows (join plans
-    # with 3-4 relations, where inter-relation selectivity compounds)
-    synthetic_patterns = [
-        "(+ ?a (* ?b ?c))",
-        "(+ (* ?a ?b) (* ?b ?c))",
-        "(* (+ ?a (* ?b ?c)) ?d)",
-        "(+ (* ?a (+ ?b ?c)) (* ?d ?e))",
-    ]
-    matching_synthetic = []
-    if columns.HAVE_NUMPY:
-        from repro.egraph.pattern import compile_pattern, parse_pattern
-
-        for text in synthetic_patterns:
-            cp = compile_pattern(parse_pattern(text))
-            scan_s = _median_time(
-                lambda: cp.search_rows(eg, backend="scan"), args.repeats
-            )
-            try:
-                join_s = _median_time(
-                    lambda: cp.search_rows(eg, backend="join"), args.repeats
-                )
-            except RuntimeError:
-                continue
-            matching_synthetic.append({
-                "pattern": text,
-                "atoms": len(cp._atoms),
-                "vars": len(cp.vars),
-                "hetero": cp._hetero,
-                "rows": len(cp.search_rows(eg, backend="scan")),
-                "scan_seconds": scan_s,
-                "join_seconds": join_s,
-                "speedup_join": scan_s / join_s if join_s > 0 else float("inf"),
-            })
-    # -- semi-naive delta joins vs incremental scans (PR 9) ----------------
-    # the same engines on *incremental* searches: `since` quantiles of the
-    # class-touched distribution sweep the delta fraction from "everything
-    # changed" down to "a thin recent slice", which is where the delta
-    # join's root-relation restriction pays.  Engine choice still never
-    # changes results (the equivalence tests pin multiset AND order).
-    matching_delta = []
-    if columns.HAVE_NUMPY:
-        from repro.egraph.pattern import compile_pattern, parse_pattern
-
-        touched_live = sorted(cls.touched for cls in eg.eclasses())
-        delta_cases = [
-            ("rule:" + rule.name, rule._compiled)
-            for rule in rules
-            if rule._compiled._atoms is not None
-        ][:4] + [
-            (text, compile_pattern(parse_pattern(text)))
-            for text in synthetic_patterns
-        ]
-        n_live = len(touched_live)
-        for quantile in (0.0, 0.5, 0.9):
-            idx = min(n_live - 1, int(quantile * n_live))
-            since = -1 if quantile == 0.0 else touched_live[idx]
-            stale = sum(1 for t in touched_live if t > since)
-            for label, cp in delta_cases:
-                scan_s = _median_time(
-                    lambda: cp.search_rows(eg, since=since, backend="scan"),
-                    args.repeats,
-                )
-                try:
-                    join_s = _median_time(
-                        lambda: cp.search_rows(eg, since=since, backend="join"),
-                        args.repeats,
-                    )
-                except RuntimeError:
-                    continue
-                matching_delta.append({
-                    "pattern": label,
-                    "atoms": len(cp._atoms),
-                    "since_quantile": quantile,
-                    "delta_fraction_classes": stale / n_live if n_live else 0.0,
-                    "rows": len(cp.search_rows(eg, since=since, backend="scan")),
-                    "scan_seconds": scan_s,
-                    "join_seconds": join_s,
-                    "speedup_join": scan_s / join_s if join_s > 0 else float("inf"),
-                })
-    matching_by_atoms = {}
-    for row in matching_rules + matching_synthetic:
-        matching_by_atoms.setdefault(row["atoms"], []).append(row)
-    matching = {
-        "backend": "numpy" if columns.HAVE_NUMPY else "fallback",
-        "rules": matching_rules,
-        "synthetic": matching_synthetic,
-        "delta": matching_delta,
-        "by_atom_count": {
-            str(atoms): {
-                "rules": len(rows),
-                "scan_seconds": statistics.median(r["scan_seconds"] for r in rows),
-                "join_seconds": statistics.median(r["join_seconds"] for r in rows),
-                "speedup_join": statistics.median(
-                    r["speedup_join"] for r in rows
-                ),
-            }
-            for atoms, rows in sorted(matching_by_atoms.items())
-        },
-    }
 
     # -- telemetry overhead A/B (PR 10) ------------------------------------
     # traced vs untraced, interleaved rep-by-rep in one process so drift
@@ -530,19 +387,6 @@ def main(argv=None) -> int:
             "egraph_classes": steady_report.egraph_classes,
             "iterations": steady_report.num_iterations,
         },
-        # one-time acceptance measurement for the PR-9 batched/delta
-        # engine, against the pre-batching commit (interleaved A/B
-        # subprocesses on one machine, 5 reps each, medians of the
-        # saturation_steady workload).  Static annotation — regeneration
-        # cannot re-measure the old tree; the live number to watch across
-        # commits is `median_seconds.saturation_steady`.
-        "steady_state_ab": {
-            "baseline_commit": "f8a7e21",
-            "baseline_median_seconds": 0.0244,
-            "current_median_seconds": 0.0181,
-            "speedup": 1.35,
-            "method": "interleaved A/B subprocess medians, 2026-08-07",
-        },
         # adaptive-scheduling outcomes: pure functions of (source, config)
         # like the records above (the trajectories carry no wall-clock
         # fields), so CI guards them against silent drift too
@@ -563,12 +407,6 @@ def main(argv=None) -> int:
             "extracted_cost": anytime_report.extracted_cost,
             "trajectory": _trajectory(anytime_report.runner),
         },
-        # where the benchmark kernel's saturation wall-clock goes —
-        # search / apply / rebuild / extract — so future perf PRs can see
-        # the phase split without re-profiling
-        # join vs scan e-matching engine timings (backend choice never
-        # changes results, so nothing here feeds the outcome guard)
-        "matching": matching,
         # the observational contract, measured: interleaved traced vs
         # untraced medians of the saturation and pipeline workloads, and
         # the traced runs' outcome records — CI asserts the latter equal
@@ -598,6 +436,9 @@ def main(argv=None) -> int:
                 "egraph_classes": traced_pipe_kernel.egraph_classes,
             },
         },
+        # where the benchmark kernel's saturation wall-clock goes —
+        # search / apply / rebuild / extract — so future perf PRs can see
+        # the phase split without re-profiling
         "phase_times": kernel_report.runner.phase_times,
         "phase_times_large": large_report.runner.phase_times,
         # per-rule saturation profile of the benchmark kernel, so future

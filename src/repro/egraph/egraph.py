@@ -27,16 +27,11 @@ and per-class node sets are sets of such tuples.  Class bookkeeping lives
 in slotted :class:`EClass` records; parents are flat ``(key, class_id)``
 pairs.
 
-Alongside the dicts, the graph maintains a **columnar mirror**
-(:class:`~repro.egraph.columns.ColumnStore`): one row of flat parallel
-int columns ``(op_id, payload_id, child0.., class_id, alive)`` per
-spelling ever interned, in hashcons insertion order.  The stale-key sweep
-and the relational e-matcher (:mod:`repro.egraph.pattern`) run as batched
-passes over these columns — vectorised under numpy, plain loops under the
-``array`` fallback — without touching any order the dict core defines.
-Per-class ``touched``/liveness stamps are mirrored into flat arrays the
-same way (``_class_touched`` / ``_class_alive``) so the incremental
-searcher and the extraction refresh can filter classes in one pass.
+The hashcons dict and the per-class key sets are the graph's single
+store.  Per-class ``touched`` stamps and analysis-data flags are mirrored
+into flat arrays (``_class_touched`` / ``_class_data``) so the incremental
+searcher's candidate filter and the analysis's bottom-child prefilter are
+one array read per class instead of a dict lookup plus attribute load.
 
 :class:`ENode` survives as a thin **boundary view**: user code, the rule
 DSL, cost models, code generation, tests, and cache serialisation keep
@@ -77,8 +72,6 @@ from array import array
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
-from repro.egraph import columns
-from repro.egraph.columns import ColumnStore
 from repro.egraph.language import Payload, Term
 from repro.egraph.unionfind import UnionFind
 
@@ -88,10 +81,6 @@ __all__ = ["ENode", "EClass", "EGraph", "NodeKey"]
 NodeKey = Tuple[int, ...]
 
 _EMPTY: Tuple = ()
-
-#: Cache-miss sentinel for the relation/probe cache (None is a meaningful
-#: cached value: an empty relation or probe index).
-_NO_ENTRY = object()
 
 
 @dataclass(frozen=True, eq=False)
@@ -266,46 +255,17 @@ class EGraph:
         #: :meth:`~repro.egraph.analysis.Analysis.relevant_op_ids` answer,
         #: refreshed whenever new operators are interned.
         self._analysis_ops: Optional[Tuple[int, Optional[Set[int]]]] = None
-        # -- columnar mirror (PR 7) ---------------------------------------
-        #: Flat parallel int columns, one row per hashcons spelling; kept
-        #: in lockstep with every hashcons mutation (see columns.py).
-        self.store = ColumnStore()
+        # -- flat per-class mirrors ----------------------------------------
         #: class id -> touched stamp (mirror of ``EClass.touched``).
         self._class_touched = array("q")
-        #: class id -> 1 while the class is live (mirror of ``classes``).
-        self._class_alive = bytearray()
         #: class id -> 1 while the class carries non-bottom analysis data
         #: (mirror of ``EClass.data is not None``); lets analyses with
         #: ``needs_all_child_data`` prove a make_key call returns bottom
         #: from flat byte reads.  Only canonical ids are kept fresh — a
         #: merged-away class's flag goes stale with its record.
         self._class_data = bytearray()
-        #: (version, int64 ndarray) snapshot of the union-find parent
-        #: array for vectorised passes; valid until the next add/merge.
-        self._parent_snapshot: Optional[tuple] = None
-        #: (version, int64 ndarray) fully-compressed snapshot: entry i is
-        #: ``find(i)``.  One pointer-chase to fixpoint amortised across
-        #: every vectorised canonicalisation at this version.
-        self._roots_snapshot: Optional[tuple] = None
-        #: Per-(op, arity, payload-signature) relation cache for the
-        #: relational matcher, cleared when the stamp moves (pattern.py).
-        self._relation_cache: Dict[tuple, tuple] = {}
-        self._relation_stamp: tuple = (-1, -1)
-        #: Probe-index snapshots (:meth:`_probe_index`), keyed by the
-        #: sweep generation instead of :attr:`version`: the apply phase
-        #: only ever *appends* hashcons entries, so a snapshot stays a
-        #: valid sub-index across adds and unions — consumers treat its
-        #: misses as conservative.  Bumped by :meth:`rebuild` (the only
-        #: place rows die or keys are re-spelled).
-        self._probe_gen = 0
-        self._probe_cache: Dict[tuple, object] = {}
-        self._probe_stamp: tuple = (-1, -1)
-        #: (table size, payload-id -> deterministic sort rank) cache.
-        self._payload_rank: Optional[Tuple[int, array]] = None
-        #: Running union count.  Adds only ever *extend* the hashcons and
-        #: the union-find, so a batched pass that verified a row against a
-        #: snapshot stays valid until this moves — the cheap invalidation
-        #: check of the batched appliers and :meth:`add_keys_batch`.
+        #: Running union count: lets :meth:`_repair` prove a run of
+        #: duplicate parent entries is a no-op (no union in between).
         self._n_unions = 0
 
     # ------------------------------------------------------------------
@@ -375,264 +335,6 @@ class EGraph:
         """
 
         return (key[2:], self._payload_sort[key[1]])
-
-    def _np_parent(self):
-        """int64 snapshot of the union-find parent array (numpy backend).
-
-        Cached per :attr:`version`: path compression may rewrite entries
-        without a version bump, but it only moves pointers *up* the same
-        forest, so a snapshot stays a valid union-find state (identical
-        roots) until the next add or merge.
-        """
-
-        snap = self._parent_snapshot
-        if snap is not None and snap[0] == self.version:
-            return snap[1]
-        arr = columns.np.array(self.uf._parent, dtype=columns.np.int64)
-        self._parent_snapshot = (self.version, arr)
-        return arr
-
-    def _np_roots(self):
-        """Fully-compressed :meth:`_np_parent`: ``arr[i] == find(i)``.
-
-        Turns every subsequent vectorised find into a single gather
-        (``roots[ids]``) instead of a per-call pointer chase; root tests
-        stay the same predicate (``roots[i] == i`` iff ``i`` is a root).
-        Cached per :attr:`version` like the parent snapshot.
-        """
-
-        snap = self._roots_snapshot
-        if snap is not None and snap[0] == self.version:
-            return snap[1]
-        np = columns.np
-        arr = self._np_parent()
-        out = arr[arr]
-        while not np.array_equal(out, arr):
-            arr = out
-            out = arr[arr]
-        self._roots_snapshot = (self.version, out)
-        return out
-
-    def _payload_ranks(self) -> array:
-        """payload id -> rank in the deterministic payload sort order.
-
-        The rank of pid ``p`` is the position of ``_payload_sort[p]`` in
-        the sorted order of that table — the payload component of
-        :meth:`_key_sort_key` reduced to one int, so vectorised bucket
-        sorts can use an int column in place of the (str, type) tuple.
-        Refreshed whenever the (append-only) payload table grows.
-        """
-
-        cache = self._payload_rank
-        n = len(self._payload_sort)
-        if cache is None or cache[0] != n:
-            order = sorted(range(n), key=self._payload_sort.__getitem__)
-            ranks = array("q", bytes(8 * n))
-            for rank, pid in enumerate(order):
-                ranks[pid] = rank
-            cache = (n, ranks)
-            self._payload_rank = cache
-        return cache[1]
-
-    def _live_relation_cache(self) -> Dict[tuple, tuple]:
-        """The relation/probe-index cache, cleared if the graph moved.
-
-        Keyed by ``(version, interned-key count, store epoch)``: any add,
-        merge, re-keying or compaction moves at least one component, so a
-        cached relation (or sorted probe index) is always a faithful view
-        of the current store.
-        """
-
-        stamp = (self.version, len(self.store), self.store.epoch)
-        if self._relation_stamp != stamp:
-            self._relation_cache.clear()
-            self._relation_stamp = stamp
-        return self._relation_cache
-
-    def _sync_row_touch(self) -> None:
-        """Refresh the store's per-row touch-stamp column.
-
-        ``touch[row] = _class_touched[find(cls[row])]`` for every row, as
-        one gather under numpy (a Python loop otherwise — only invariant
-        checks take that path; the delta readers are numpy-gated).  Synced
-        eagerly at the end of :meth:`rebuild` and lazily (stamp-checked)
-        by the delta readers, so a search issued without an intervening
-        rebuild still sees current stamps.
-        """
-
-        store = self.store
-        if store.pending:
-            store.flush()
-        stamp = (self.version, len(store.keys), store.epoch)
-        if store.touch_stamp == stamp:
-            return
-        if columns.HAVE_NUMPY:
-            touched = columns.as_int64(self._class_touched)
-            cls = columns.as_int64(store.cls)
-            if len(cls):
-                canon = columns.vec_find(self._np_parent(), cls)
-                columns.as_int64(store.touch)[:] = touched[canon]
-        else:
-            find = self.uf.find
-            touched = self._class_touched
-            cls = store.cls
-            touch = store.touch
-            for row in range(len(touch)):
-                touch[row] = touched[find(cls[row])]
-        store.touch_stamp = stamp
-
-    def rows_touched_since(self, op_id: int, stamp: int):
-        """Live rows of *op_id* in classes touched after *stamp*.
-
-        The semi-naive join engine's delta reader: syncs the store's
-        touch column (no-op when current) and returns the column slice.
-        """
-
-        self._sync_row_touch()
-        return self.store.rows_touched_since(op_id, stamp)
-
-    def _probe_index(self, op_id: int, pid: int, nchildren: int):
-        """Sorted int64 probe index over the live rows of one node shape.
-
-        Maps the hashcons probe ``key in hashcons`` for keys of shape
-        ``(op_id, pid, c0..ck)`` onto a binary search: live rows with
-        exactly that op/payload/arity are encoded by Horner evaluation of
-        their *raw* child ids in base ``len(parent) + 1`` (ids are < the
-        base, so the encoding is injective — exactly tuple equality).
-        Returns ``(sorted codes, aligned raw cls values, base)`` (owned
-        copies, never zero-copy views) or None when no live row has that
-        shape.  ``False`` signals an encoding overflow (caller must fall
-        back to scalar probes).
-
-        Cached per *sweep generation* (:attr:`_probe_gen`), not per
-        :attr:`version`: between rebuilds the hashcons only gains keys —
-        no row dies, no entry's value changes — so a snapshot remains a
-        correct **sub-index**.  A hit is a genuine current entry; a miss
-        is only "not in the snapshot" and the caller must treat it
-        conservatively (scalar dict probe / opaque row).  Rows interned
-        after the snapshot are invisible, and a probe child id ``>=
-        base`` (a class allocated after the snapshot) breaks the Horner
-        injectivity, so callers must force such rows to miss.
-        """
-
-        stamp = (self._probe_gen, self.store.epoch)
-        if self._probe_stamp != stamp:
-            self._probe_cache.clear()
-            self._probe_stamp = stamp
-        cache = self._probe_cache
-        key = (op_id, pid, nchildren)
-        entry = cache.get(key, _NO_ENTRY)
-        if entry is not _NO_ENTRY:
-            return entry
-        np = columns.np
-        store = self.store
-        base = len(self.uf._parent) + 1
-        entry = None
-        if nchildren and base ** nchildren >= 2 ** 62:
-            entry = False
-        else:
-            rows = store.op_rows(op_id)
-            if rows is not None and len(rows):
-                alive = columns.as_uint8(store.alive)[rows]
-                nc = columns.as_int64(store.nchild)[rows]
-                pids = columns.as_int64(store.payload)[rows]
-                keep = np.flatnonzero(
-                    (alive != 0) & (nc == nchildren) & (pids == pid)
-                )
-                if len(keep):
-                    rows = rows[keep]
-                    code = np.zeros(len(rows), dtype=np.int64)
-                    for i in range(nchildren):
-                        code = code * base + columns.as_int64(store.child[i])[rows]
-                    order = np.argsort(code, kind="stable")
-                    vals = columns.as_int64(store.cls)[rows][order]
-                    entry = (code[order], vals, base)
-        cache[key] = entry
-        return entry
-
-    def add_keys_batch(self, keys: List[NodeKey]) -> List[int]:
-        """Intern a batch of e-node keys: ``[self.add_key(k) for k in keys]``.
-
-        Exactly that loop, observable-state-wise — same hashcons content,
-        same class-id allocation order, same analysis activity, same
-        returned ids — but hits resolve through one vectorised probe pass
-        per *miss-free run* instead of a dict probe per key.  The batch is
-        probed against a sorted columnar index of the hashcons
-        (:meth:`_probe_index`); runs of hits are answered in bulk, each
-        miss is interned scalar in batch order (the hashcons itself
-        deduplicates repeated spellings within the batch: the first
-        occurrence adds, later ones re-probe as hits).  Adds extend the
-        probe snapshot monotonically, so hit flags stay valid across
-        them; a union (an analysis ``modify`` firing during an add) drops
-        the snapshot and re-probes the remaining suffix.  Falls back to
-        the scalar loop for small or mixed-shape batches and under the
-        array fallback.
-        """
-
-        n = len(keys)
-        if n < 16 or not columns.HAVE_NUMPY:
-            add_key = self.add_key
-            return [add_key(k) for k in keys]
-        first = keys[0]
-        op_id, pid = first[0], first[1]
-        width = len(first)
-        for k in keys:
-            if k[0] != op_id or k[1] != pid or len(k) != width:
-                add_key = self.add_key
-                return [add_key(k) for k in keys]
-        np = columns.np
-        mat = np.array(keys, dtype=np.int64)
-        out: List[int] = [0] * n
-        add_key = self.add_key
-        i = 0
-        rounds = 0
-        while i < n:
-            rounds += 1
-            index = self._probe_index(op_id, pid, width - 2)
-            if index is False or rounds > 8:
-                for j in range(i, n):
-                    out[j] = add_key(keys[j])
-                return out
-            parent = self._np_parent()
-            if index is None:
-                hit = np.zeros(n - i, dtype=bool)
-                values = None
-            else:
-                codes, vals, base = index
-                cand = np.zeros(n - i, dtype=np.int64)
-                inbase = None
-                for c in range(2, width):
-                    col = mat[i:, c]
-                    child = columns.vec_find(parent, col)
-                    # snapshot sub-index: ids allocated after it was
-                    # built must miss (see :meth:`_probe_index`)
-                    ok = child < base
-                    inbase = ok if inbase is None else (inbase & ok)
-                    cand = cand * base + child
-                pos = np.searchsorted(codes, cand)
-                pos_safe = np.minimum(pos, len(codes) - 1)
-                hit = codes[pos_safe] == cand
-                if inbase is not None:
-                    hit &= inbase
-                values = columns.vec_find(parent, np.where(hit, vals[pos_safe], 0))
-            unions0 = self._n_unions
-            j = i
-            while j < n and hit[j - i]:
-                j += 1
-            if j > i:
-                out[i:j] = values[: j - i].tolist()
-            while j < n:
-                if hit[j - i]:
-                    # still valid: only adds happened since the probe
-                    out[j] = int(values[j - i])
-                    j += 1
-                    continue
-                out[j] = add_key(keys[j])
-                j += 1
-                if self._n_unions != unions0:
-                    break  # a union moved the parent array: re-probe
-            i = j
-        return out
 
     # ------------------------------------------------------------------
     # Introspection
@@ -847,9 +549,7 @@ class EGraph:
         eclass.version = eclass.touched = self.version
         self.classes[eclass_id] = eclass
         self.hashcons[key] = eclass_id
-        self.store.append_new(key, eclass_id)
         self._class_touched.append(self.version)
-        self._class_alive.append(1)
         self._class_data.append(0)
         self._node_count += 1
         ops = self._op_classes.get(key[0])
@@ -951,7 +651,6 @@ class EGraph:
         winner.parents.extend(loser.parents)
         winner.version = winner.touched = self.version
         self._class_touched[root] = self.version
-        self._class_alive[other] = 0
         self._touched.append(root)
         self._merged_since_sweep = True
         # No op-index update needed: the loser's index entries find() to the
@@ -986,10 +685,6 @@ class EGraph:
         """
 
         n_repairs = 0
-        # rebuild is the only phase that kills rows, re-spells keys or
-        # rewrites entry values: retire the probe-index snapshots on both
-        # sides of it (repairs below consult the hashcons themselves)
-        self._probe_gen += 1
         while True:
             while self._dirty or self._analysis_dirty:
                 todo = {self.uf.find(i) for i in self._dirty}
@@ -1013,23 +708,6 @@ class EGraph:
             if not self._dirty and not self._analysis_dirty:
                 break
         self._propagate_touches()
-        store = self.store
-        if store.pending:
-            store.flush()
-        n_rows = len(store.keys)
-        # compaction policy: reclaim once tombstones outnumber live rows
-        # (>50% dead) past a floor that keeps small graphs loop-free.
-        # Invisible to outcomes — live-row relative order is preserved and
-        # every row-index cache is epoch-keyed — so the policy only moves
-        # wall-clock, and it depends only on counts (backend-independent).
-        if n_rows >= 512 and 2 * (n_rows - sum(store.alive)) > n_rows:
-            store.compact()
-        self._probe_gen += 1
-        if columns.HAVE_NUMPY:
-            # keep the per-row touch-stamp column current for the delta
-            # readers: one gather per rebuild, amortised across every
-            # incremental search issued before the next mutation
-            self._sync_row_touch()
         return n_repairs
 
     def _sweep_stale_keys(self) -> int:
@@ -1044,41 +722,25 @@ class EGraph:
             return 0
         self._merged_since_sweep = False
         uf = self.uf
-        store = self.store
-        if columns.HAVE_NUMPY and len(store) > 64:
-            # batched column pass: the staleness predicate per row is the
-            # same two-array-reads-per-child check, evaluated over the
-            # whole child columns at once.  Ascending alive-row order is
-            # hashcons dict order (the store's core invariant), so the
-            # collected keys — and therefore the merge-discovery order
-            # below — are identical to the scalar scan's.
-            parent_np = columns.np.array(uf._parent, dtype=columns.np.int64)
-            rows = store.stale_alive_rows(parent_np)
-            if not rows.size:
-                return 0
-            keys_list = store.keys
-            stale = [keys_list[r] for r in rows.tolist()]
-        else:
-            parent = uf._parent
-            stale = []
-            for key in self.hashcons:
-                n = len(key)
-                i = 2
-                while i < n:
-                    c = key[i]
-                    if parent[c] != c:
-                        stale.append(key)
-                        break
-                    i += 1
-            if not stale:
-                return 0
+        parent = uf._parent
+        stale = []
+        for key in self.hashcons:
+            n = len(key)
+            i = 2
+            while i < n:
+                c = key[i]
+                if parent[c] != c:
+                    stale.append(key)
+                    break
+                i += 1
+        if not stale:
+            return 0
         find = uf.find
         merges = 0
         views_pop = self._views.pop
         classes = self.classes
         for key in stale:
             value = self.hashcons.pop(key)
-            store.kill(key)
             # the spelling is retired for good (its children can never
             # become roots again) — drop its memoized boundary view so the
             # memo tracks the live key set instead of growing monotonically
@@ -1088,7 +750,6 @@ class EGraph:
             if prior is None:
                 canon_class = find(value)
                 self.hashcons[canon] = canon_class
-                store.append_new(canon, canon_class)
             elif find(prior) != find(value):
                 self.merge(prior, value)
                 merges += 1
@@ -1097,8 +758,8 @@ class EGraph:
             # finds in parent lists, and a spelling minted *by* a repair is
             # recorded in just one child's list — swap it for the canonical
             # one here too, or the class double-counts the node (and the
-            # scan matcher emits duplicate matches the join engine,
-            # reading the deduplicated hashcons rows, can never produce)
+            # scan matcher, which walks the class key sets, emits every
+            # match through that node twice)
             owner = classes.get(find(value))
             if owner is not None and key in owner.keys:
                 n0 = len(owner.keys)
@@ -1173,7 +834,6 @@ class EGraph:
         classes = self.classes
         canon_key = self._canon_key
         parent_arr = uf._parent
-        store = self.store
         views_pop = self._views.pop
         touched_arr = self._class_touched
         seen: Dict[NodeKey, int] = {}
@@ -1217,9 +877,8 @@ class EGraph:
                 skip_probe = True  # the pop would have emptied this slot
             else:
                 # drop the stale hashcons entry before re-canonicalising
-                # (and retire its column row + memoized boundary view)
+                # (and retire its memoized boundary view)
                 hashcons.pop(parent_key, None)
-                store.kill(parent_key)
                 views_pop(parent_key, None)
                 canon = canon_key(parent_key)
                 skip_probe = False
@@ -1227,7 +886,6 @@ class EGraph:
                 parent_class = find(parent_class)
             existing = seen.get(canon)
             is_duplicate = existing is not None
-            fresh = False
             if is_duplicate:
                 if parent_arr[existing] != existing:
                     existing = find(existing)
@@ -1245,20 +903,10 @@ class EGraph:
                         self.merge(prior, parent_class)
                         repairs += 1
                         parent_class = find(parent_class)
-                else:
-                    fresh = True
             # parent_class is canonical on every path here: it was found
             # above and re-found after any merge that could stale it
             canon_class = parent_class
             hashcons[canon] = canon_class
-            # mirror: only a *fresh* dict insertion appends a row.  An
-            # overwrite keeps its live row, whose cls may now lag the dict
-            # value — but only by union-find equivalence (the overwritten
-            # value was merged into canon_class above), which is all the
-            # column readers need: they canonicalise cls through the
-            # parent array anyway.
-            if fresh:
-                store.append_new(canon, canon_class)
             seen[canon] = canon_class
             if not is_duplicate:
                 new_parents.append((canon, canon_class))
@@ -1314,15 +962,11 @@ class EGraph:
                         self.merge(prior, eclass.id)
                         repairs += 1
                         root = find(root)
-                    # overwrite: the live row's cls stays union-find-equal
-                    # to the new dict value, which the column readers
-                    # canonicalise anyway — no mirror write needed
                     hashcons[key] = root
                 else:
                     if parent_arr[root] != root:
                         root = find(root)
                     hashcons[key] = root
-                    store.append_new(key, root)
         return repairs
 
     def _repair_analysis(self, eclass_id: int) -> None:
@@ -1481,44 +1125,9 @@ class EGraph:
                     f"{self.op_names[key[0]]!r}"
                 )
 
-        # columnar mirror: alive rows in ascending row order are exactly
-        # the hashcons keys in dict iteration order (the invariant the
-        # batched sweep and the relational matcher rely on), and the
-        # per-row class is union-find-equal to the dict value (a dict
-        # overwrite with a merged-away value's root skips the mirror
-        # write, so the row may hold the pre-merge id — column readers
-        # canonicalise through the parent array)
-        store = self.store
-        store.flush()
-        alive_keys = [
-            store.keys[row] for row in range(len(store.keys)) if store.alive[row]
-        ]
-        assert alive_keys == list(self.hashcons), (
-            "column store out of sync with hashcons order"
-        )
-        assert set(store.row_of) == set(self.hashcons)
-        for key, eclass_id in self.hashcons.items():
-            row = store.row_of[key]
-            assert store.keys[row] == key
-            assert self.uf.find(store.cls[row]) == self.uf.find(eclass_id), (
-                f"column class {store.cls[row]} not equivalent to hashcons "
-                f"value {eclass_id} for {self._view(key)}"
-            )
-            assert store.op[row] == key[0]
-            assert store.payload[row] == key[1]
-            assert store.nchild[row] == len(key) - 2
-            for i in range(len(store.child)):
-                expected = key[i + 2] if i < len(key) - 2 else -1
-                assert store.child[i][row] == expected
         # per-class mirrors agree with the slotted records
-        assert (
-            len(self._class_touched)
-            == len(self._class_alive)
-            == len(self._class_data)
-            == len(self.uf)
-        )
+        assert len(self._class_touched) == len(self._class_data) == len(self.uf)
         for eclass in self.classes.values():
-            assert self._class_alive[eclass.id] == 1
             assert self._class_touched[eclass.id] == eclass.touched, (
                 f"touched mirror {self._class_touched[eclass.id]} != "
                 f"{eclass.touched} for class {eclass.id}"
@@ -1526,7 +1135,6 @@ class EGraph:
             assert (self._class_data[eclass.id] != 0) == (
                 eclass.data is not None
             ), f"data-flag mirror wrong for class {eclass.id}"
-        assert sum(self._class_alive) == len(self.classes)
 
     # ------------------------------------------------------------------
     # Misc
@@ -1557,12 +1165,8 @@ class EGraph:
         dup.payloads = list(self.payloads)
         dup._payload_sort = list(self._payload_sort)
         dup._payload_eq = dict(self._payload_eq)
-        dup.store = self.store.copy()
         dup._class_touched = array("q", self._class_touched)
-        dup._class_alive = bytearray(self._class_alive)
         dup._class_data = bytearray(self._class_data)
-        # per-version caches (parent snapshot, relations, payload ranks)
-        # stay at their fresh-graph defaults and rebuild on demand
         # views are immutable value objects; sharing the memo is safe, and
         # the copied interning tables keep the resolved instantiator
         # constants valid

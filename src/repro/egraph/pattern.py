@@ -10,7 +10,7 @@ language, e.g. the FMA1 rule of the paper (Table I) is written::
 
     (+ ?a (* ?b ?c))   ->   (fma ?a ?b ?c)
 
-Three matching engines coexist:
+Two matching engines coexist:
 
 * the **naive reference matcher** (:meth:`Pattern.search_naive`,
   :func:`_match_pattern`) — a backtracking generator that re-walks the
@@ -32,26 +32,6 @@ Three matching engines coexist:
   :meth:`repro.egraph.egraph.EGraph.rebuild` for how *touched* stamps are
   propagated).
 
-* the **relational matcher** (PR 7) — when numpy is available (see
-  :mod:`repro.egraph.columns`), a pattern with two or more operator nodes
-  is executed as a *join* over the e-graph's columnar store instead of a
-  nested scan: each operator node becomes an *atom* whose relation is the
-  per-op column slice filtered by arity/payload, and shared variables
-  (plus the parent-child links of the pattern tree) become hash-join keys
-  (encoded into int64 and resolved by sort + ``searchsorted``).  The join
-  plan is deterministic: the root atom leads (it carries the ``since``
-  touched-filter), then greedily the smallest remaining connected
-  relation, ties broken by op id then pre-order atom index.  Join results
-  are ordered by lexsorting ``(root class id, rank_0, .., rank_k)`` where
-  ``rank_i`` is atom *i*'s position inside its class's deterministic
-  :meth:`~repro.egraph.egraph.EGraph.buckets_by_op_id` bucket order —
-  which reproduces the compiled matcher's nested-loop emission order
-  exactly (two results agreeing on all earlier ranks chose identical
-  rows, hence atom *i* draws from the same bucket, where rank order *is*
-  iteration order).  Trivial (single-atom) patterns, graphs without
-  numpy, and ``REPRO_NO_NUMPY=1`` runs fall back to the compiled
-  matchers; both backends produce identical match lists.
-
 Internally matches flow as flat **rows** ``(root_class_id, v0, v1, ..)``
 with variable values in :meth:`Pattern.variables` order (what
 ``search_rows`` returns and the runner's apply loop consumes); the public
@@ -72,7 +52,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
-from repro.egraph import columns
 from repro.egraph.egraph import EGraph, ENode
 from repro.egraph.language import Term
 
@@ -83,8 +62,6 @@ __all__ = [
     "compile_pattern",
     "compile_row_applier",
     "compile_row_instantiator",
-    "compile_rhs_plan",
-    "rhs_pure_partition",
     "parse_pattern",
     "Substitution",
 ]
@@ -552,369 +529,10 @@ class _InstantiatorCodegen:
         return self._compile(lines, "_apply_rows")
 
 
-# ---------------------------------------------------------------------------
-# Relational (join-based) matching engine
-# ---------------------------------------------------------------------------
-
-
-class _Atom:
-    """One operator node of a flattened pattern.
-
-    ``class_var`` names the variable bound to the atom's e-class id
-    (synthetic — ``\\x00``-prefixed — except nowhere: pattern variables can
-    only occur in child slots); ``child_vars`` name the variables bound to
-    its child slots, one per child, real pattern variables and synthetic
-    link variables mixed.  A synthetic variable appears exactly twice: as a
-    parent's child slot and as the child atom's ``class_var`` — these links
-    plus repeated real variables are the join's equality constraints.
-    """
-
-    __slots__ = ("index", "op", "payload", "nchildren", "class_var", "child_vars")
-
-    def __init__(self, index: int, op: str, payload: object, nchildren: int,
-                 class_var: str) -> None:
-        self.index = index
-        self.op = op
-        self.payload = payload
-        self.nchildren = nchildren
-        self.class_var = class_var
-        self.child_vars: List[str] = []
-
-
-def _flatten_pattern(pattern: Pattern) -> List[_Atom]:
-    """Flatten *pattern* into atoms in the compiled matcher's loop order.
-
-    The compiled codegen opens one bucket loop per operator node in
-    depth-first pre-order (a nested operator child's loop opens inside its
-    parent's, before any later sibling's); atom indices reproduce exactly
-    that nesting order, which is what makes the rank-vector sort of
-    :func:`_relational_search` equal the nested loops' emission order.
-    """
-
-    atoms: List[_Atom] = []
-    counter = iter(range(1 << 30))
-
-    def visit(node: Pattern, class_var: str) -> None:
-        atom = _Atom(len(atoms), node.op, node.payload, len(node.children), class_var)
-        atoms.append(atom)
-        nested: List[Tuple[Pattern, str]] = []
-        for child in node.children:
-            if isinstance(child, PatternVar):
-                atom.child_vars.append(child.name)
-            else:
-                link = f"\x00{next(counter)}"
-                atom.child_vars.append(link)
-                nested.append((child, link))
-        for child, link in nested:
-            visit(child, link)
-
-    visit(pattern, "\x00cid")
-    return atoms
-
-
-def _vec_find(parent, ids):
-    """Canonical ids of *ids* under the *parent* array (gather to fixpoint).
-
-    Equivalent to mapping ``uf.find`` but vectorised; terminates because
-    every gather moves ids strictly up the union-find forest.
-    """
-
-    np = columns.np
-    out = parent[ids]
-    while True:
-        nxt = parent[out]
-        if np.array_equal(nxt, out):
-            return out
-        out = nxt
-
-
-#: Cache-miss sentinel (None is a meaningful cached value: empty relation).
-_NO_REL = object()
-
-
-def _build_relation(eg: EGraph, op_id: int, nchildren: int, pids, rows=None):
-    """The column relation of one atom, or None when it is empty.
-
-    Rows are the *live* hashcons entries with operator *op_id*, exactly
-    *nchildren* children, and (when *pids* is given) payload id in *pids*
-    — the compiled matcher's arity/payload guards as column masks.  When
-    *rows* is given it replaces the op-index scan: the relation is built
-    over exactly that (already alive-filtered) row slice — the delta-join
-    entry point, where *rows* comes from ``rows_touched_since``.  Because
-    touch stamps are per-class, a delta slice always contains *complete*
-    class groups, so the within-class ranks computed here equal the full
-    relation's ranks for the same rows.  The result maps:
-
-    * ``cls`` — canonical e-class id per row,
-    * ``child`` — canonical child class ids, one int64 array per slot,
-    * ``rank`` — the row's position within its class's deterministic
-      per-op bucket order (:meth:`EGraph.buckets_by_op_id`): rows are
-      lexsorted by ``(cls, raw child ids.., payload rank)``, which is the
-      bucket comparator ``(key[2:], (str(payload), type))`` restricted to
-      this relation's fixed arity — so ranks of filtered rows preserve
-      their relative bucket order, and
-    * ``n`` — the row count (the planner's size measure).
-
-    Join keys and emitted bindings use the *canonical* columns; the rank
-    sort uses the *raw* child spellings, because bucket order is defined
-    over the stored key tuples.
-    """
-
-    np = columns.np
-    store = eg.store
-    if rows is None:
-        rows = store.op_rows(op_id)
-        if rows is None or not len(rows):
-            return None
-        alive = columns.as_uint8(store.alive)
-        mask = alive[rows] != 0
-    elif not len(rows):
-        return None
-    else:
-        mask = np.ones(len(rows), dtype=bool)
-    nchild = columns.as_int64(store.nchild)
-    mask &= nchild[rows] == nchildren
-    pid_col = columns.as_int64(store.payload)[rows]
-    if pids is not None:
-        pmask = np.zeros(len(rows), dtype=bool)
-        for pid in pids:
-            pmask |= pid_col == pid
-        mask &= pmask
-    keep = np.flatnonzero(mask)
-    n = len(keep)
-    if not n:
-        return None
-    rows = rows[keep]
-    pid_col = pid_col[keep]
-    parent = eg._np_parent()
-    cls = _vec_find(parent, columns.as_int64(store.cls)[rows])
-    raw = tuple(columns.as_int64(store.child[i])[rows] for i in range(nchildren))
-    canon = tuple(_vec_find(parent, col) for col in raw)
-    prank = columns.as_int64(eg._payload_ranks())[pid_col]
-    # np.lexsort: last key is primary -> (cls, child0.., prank) priority
-    order = np.lexsort((prank,) + raw[::-1] + (cls,))
-    sorted_cls = cls[order]
-    starts = np.zeros(n, dtype=np.int64)
-    if n > 1:
-        idx = np.arange(1, n, dtype=np.int64)
-        starts[1:] = np.where(sorted_cls[1:] != sorted_cls[:-1], idx, 0)
-        starts = np.maximum.accumulate(starts)
-    rank = np.empty(n, dtype=np.int64)
-    rank[order] = np.arange(n, dtype=np.int64) - starts
-    return {"cls": cls, "child": canon, "rank": rank, "n": n}
-
-
-def _pattern_relation(eg: EGraph, atom: _Atom, op_id: int, pids):
-    """Memoised :func:`_build_relation` (cache lives on the e-graph).
-
-    Keyed by ``(op id, arity, payload ids)`` so rules sharing an atom
-    shape share one relation per search phase; the whole cache is dropped
-    whenever the graph's ``(version, interned-key count, store epoch)``
-    stamp moves (:meth:`EGraph._live_relation_cache`).
-    """
-
-    cache = eg._live_relation_cache()
-    key = (op_id, atom.nchildren, pids)
-    rel = cache.get(key, _NO_REL)
-    if rel is _NO_REL:
-        rel = _build_relation(eg, op_id, atom.nchildren, pids)
-        cache[key] = rel
-    return rel
-
-
-def _pattern_delta_relation(eg: EGraph, atom: _Atom, op_id: int, pids, since):
-    """The *delta* relation of one atom: rows of classes touched > *since*.
-
-    The semi-naive half of :func:`_pattern_relation` — rows come from the
-    store's touch-stamp column (``rows_touched_since``) instead of the
-    full op index, so steady-state incremental searches slice out only the
-    recently-touched fraction of each relation.  Cached next to the full
-    relations, additionally keyed by *since* (one search phase typically
-    probes many rules at the same stamp).
-    """
-
-    cache = eg._live_relation_cache()
-    key = (op_id, atom.nchildren, pids, since)
-    rel = cache.get(key, _NO_REL)
-    if rel is _NO_REL:
-        rows = eg.rows_touched_since(op_id, since)
-        if rows is None or not len(rows):
-            rel = None
-        else:
-            rel = _build_relation(eg, op_id, atom.nchildren, pids, rows=rows)
-        cache[key] = rel
-    return rel
-
-
-def _atom_columns(atom: _Atom, rel):
-    """(variable -> column) map of *rel* plus the intra-atom equality mask.
-
-    A variable repeated inside a single atom (e.g. ``(* ?a ?a)``) yields a
-    column-equality mask; the first occurrence's column represents it.
-    """
-
-    cols = {atom.class_var: rel["cls"]}
-    mask = None
-    for i, var in enumerate(atom.child_vars):
-        col = rel["child"][i]
-        prev = cols.get(var)
-        if prev is None:
-            cols[var] = col
-        else:
-            eq = prev == col
-            mask = eq if mask is None else mask & eq
-    return cols, mask
-
-
-def _relational_search(
-    cp: "CompiledPattern", eg: EGraph, since: Optional[int]
-) -> Optional[List[tuple]]:
-    """Execute *cp* as a join over the columnar store.
-
-    Returns flat ``(cid, v0, v1, ..)`` rows in exactly the compiled
-    matcher's order, or None when the int64 join-key encoding could
-    overflow (caller falls back to the scan engine).
-
-    Plan: the root atom leads; on an incremental (``since``) search it is
-    the semi-naive *delta* relation — only rows of classes touched after
-    the stamp, sliced straight off the store's touch column — while every
-    other atom joins against its full relation.  (Upward touch
-    propagation makes the root-delta join alone exactly the incremental
-    result: any match with an untouched root has all-untouched atoms and
-    was emitted by the previous search.)  Then greedily the smallest
-    remaining relation among atoms connected to the bound variables, ties
-    broken by ``(size, op id, pre-order atom index)`` — never by hash
-    order.  Each step is a sort-based hash join
-    on the shared variables, encoded into a single int64 per row by Horner
-    evaluation in base ``len(parent) + 1`` (class ids are < the base, so
-    the encoding is injective; the caller is told to fall back when
-    ``base ** nkeys`` approaches 2**62).
-
-    Result order: joins track, per atom, the matched row's bucket rank;
-    the final lexsort by ``(root cid, rank_0, .., rank_{m-1})`` (atoms in
-    pre-order) reproduces the nested loops' emission order — two results
-    equal on all earlier ranks picked identical rows, so atom *i* draws
-    from the same bucket, where rank order is iteration order.
-    """
-
-    np = columns.np
-    atoms = cp._atoms
-    rels = []
-    for ai, atom in enumerate(atoms):
-        op_id = eg._op_ids.get(atom.op)
-        if op_id is None:
-            return []
-        if atom.payload is not None:
-            pids = eg.payload_ids_matching(atom.payload)
-            if not pids:
-                return []
-        else:
-            pids = None
-        if ai == 0 and since is not None:
-            rel = _pattern_delta_relation(eg, atom, op_id, pids, since)
-        else:
-            rel = _pattern_relation(eg, atom, op_id, pids)
-        if rel is None:
-            return []
-        rels.append((atom, op_id, rel))
-
-    base = len(eg.uf._parent) + 1
-
-    # seed the state from the root atom's relation (the delta relation on
-    # incremental searches — its ranks equal the full relation's, see
-    # _build_relation, so the final rank lexsort is unaffected)
-    atom, _, rel = rels[0]
-    cols, mask = _atom_columns(atom, rel)
-    if mask is not None:
-        keep = np.flatnonzero(mask)
-        state = {var: col[keep] for var, col in cols.items()}
-        ranks = {0: rel["rank"][keep]}
-    else:
-        state = dict(cols)
-        ranks = {0: rel["rank"]}
-    if not len(state[atom.class_var]):
-        return []
-
-    remaining = list(range(1, len(atoms)))
-    while remaining:
-        best = None
-        for ai in remaining:
-            cand_atom, cand_op, cand_rel = rels[ai]
-            if cand_atom.class_var not in state and not any(
-                v in state for v in cand_atom.child_vars
-            ):
-                continue
-            cand = (cand_rel["n"], cand_op, ai)
-            if best is None or cand < best:
-                best = cand
-        # the atom graph is a tree linked by synthetic variables, so some
-        # remaining atom is always connected once the root is bound
-        ai = best[2]
-        remaining.remove(ai)
-        atom, _, rel = rels[ai]
-        cols, mask = _atom_columns(atom, rel)
-        if mask is not None:
-            keep = np.flatnonzero(mask)
-            cols = {var: col[keep] for var, col in cols.items()}
-            arank = rel["rank"][keep]
-        else:
-            arank = rel["rank"]
-
-        # shared variables in deterministic (class var, child slots) order
-        shared = []
-        for var in (atom.class_var, *atom.child_vars):
-            if var in state and var not in shared:
-                shared.append(var)
-        if base ** len(shared) >= 2 ** 62:
-            return None
-        rcode = cols[shared[0]]
-        scode = state[shared[0]]
-        for var in shared[1:]:
-            rcode = rcode * base + cols[var]
-            scode = scode * base + state[var]
-        order = np.argsort(rcode, kind="stable")
-        rsorted = rcode[order]
-        left = np.searchsorted(rsorted, scode, side="left")
-        counts = np.searchsorted(rsorted, scode, side="right") - left
-        total = int(counts.sum())
-        if not total:
-            return []
-        out_s = np.repeat(np.arange(len(scode), dtype=np.int64), counts)
-        offsets = (
-            np.arange(total, dtype=np.int64)
-            - np.repeat(np.cumsum(counts) - counts, counts)
-            + np.repeat(left, counts)
-        )
-        out_r = order[offsets]
-        state = {var: col[out_s] for var, col in state.items()}
-        ranks = {i: r[out_s] for i, r in ranks.items()}
-        for var, col in cols.items():
-            if var not in state:
-                state[var] = col[out_r]
-        ranks[ai] = arank[out_r]
-
-    cid = state[atoms[0].class_var]
-    n = len(cid)
-    if not n:
-        return []
-    m = len(atoms)
-    order = np.lexsort(tuple(ranks[i] for i in range(m - 1, -1, -1)) + (cid,))
-    mat = np.empty((n, 1 + len(cp.vars)), dtype=np.int64)
-    mat[:, 0] = cid[order]
-    for j, name in enumerate(cp.vars):
-        mat[:, j + 1] = state[name][order]
-    # a lazy facade: tuples materialise only if a consumer asks for them —
-    # the batched applier reads the matrix directly (columns.RowBatch)
-    return columns.RowBatch(mat)
-
-
 class CompiledPattern:
     """A pattern lowered into specialised match/instantiate functions."""
 
-    __slots__ = (
-        "pattern", "vars", "root_op", "_fn", "_inst", "_bare_var", "_atoms",
-        "_hetero", "_to_subst",
-    )
+    __slots__ = ("pattern", "vars", "root_op", "_fn", "_inst", "_bare_var", "_to_subst")
 
     def __init__(self, pattern: Pattern) -> None:
         self.pattern = pattern
@@ -932,7 +550,6 @@ class CompiledPattern:
         # a bare-variable pattern `?x` parses as ("?" ?x); its instantiation
         # is just the bound class
         self._bare_var: Optional[str] = None
-        self._hetero = False
         if (
             pattern.op == "?"
             and len(pattern.children) == 1
@@ -940,22 +557,8 @@ class CompiledPattern:
         ):
             self._bare_var = pattern.children[0].name
             self._inst = None
-            self._atoms = None
         else:
             self._inst = _InstantiatorCodegen().build(pattern)
-            atoms = _flatten_pattern(pattern)
-            # every operator pattern runs on the relational engine — a
-            # single-atom "join" is just the (delta) relation slice itself,
-            # already in emission order, with no scan-side per-class loop
-            self._atoms = atoms if atoms else None
-            if self._atoms is not None:
-                # heterogeneous = atoms draw from >= 2 distinct relations
-                # (inter-relation selectivity prunes work the scan must do)
-                shapes = {
-                    (a.op, a.nchildren, str(a.payload), type(a.payload).__name__)
-                    for a in self._atoms
-                }
-                self._hetero = len(shapes) >= 2
 
     def instantiate(self, egraph: EGraph, subst: Substitution) -> int:
         """Add the pattern under *subst*; returns the e-class id."""
@@ -971,56 +574,19 @@ class CompiledPattern:
         self._fn(egraph, (egraph.find(eclass_id),), out)
         return [self._to_subst(row) for row in out]
 
-    def search_rows(
-        self,
-        egraph: EGraph,
-        since: Optional[int] = None,
-        backend: Optional[str] = None,
-    ) -> List[tuple]:
+    def search_rows(self, egraph: EGraph, since: Optional[int] = None) -> List[tuple]:
         """Search the e-graph; returns flat ``(eclass_id, v0, v1, ..)`` rows.
 
         Variable values follow :attr:`vars` order.  Rows are what the
         runner's apply loop consumes (together with the positional
         instantiators) — no per-match dict is built.
 
-        *backend* selects the engine: ``None`` auto-selects — the
-        relational join for heterogeneous multi-atom patterns under
-        numpy (where inter-relation selectivity prunes work the scan
-        must do), full and incremental alike (the semi-naive delta join
-        restricts the root relation to recently-touched rows, so the
-        incremental join stays delta-bound); the compiled scan otherwise
-        (trivial patterns, self-join-only patterns — whose incremental
-        scans are already delta-bound via the touched filter and carry
-        none of the join's per-call relation overhead — and fallback
-        builds); ``"join"`` forces the relational engine (raises when
-        unavailable — bench/test hook); ``"scan"`` forces the compiled
-        matcher.  Both engines return the identical row list, so backend
-        choice can never alter outcomes — only wall-clock.
-
         When *since* is given, classes whose ``touched`` stamp is
         ``<= since`` are skipped — sound because :meth:`EGraph.rebuild`
         propagates touches upward from every mutated class (matches rooted
         at a skipped class are exactly the matches found by the previous
-        scan).  The relational engine serves the same contract with a
-        delta join: its leading (root) relation is built over the store's
-        touch-stamp column (:func:`_pattern_delta_relation`).
+        scan).
         """
-
-        if self._atoms is not None and columns.HAVE_NUMPY:
-            if backend != "scan":
-                rows = _relational_search(self, egraph, since)
-                if rows is not None:
-                    return rows
-                # join-key overflow guard tripped: int64 encoding would not
-                # be injective on this graph, use the scan engine instead
-                if backend == "join":
-                    raise RuntimeError(
-                        "join backend unavailable: join-key encoding overflow"
-                    )
-        elif backend == "join":
-            raise RuntimeError(
-                "join backend unavailable: trivial pattern or numpy inactive"
-            )
 
         matches: List[tuple] = []
         candidates = egraph.classes_with_op(self.root_op)
@@ -1050,62 +616,6 @@ class CompiledPattern:
         return [
             (row[0], to_subst(row)) for row in self.search_rows(egraph, since)
         ]
-
-    def join_plan(
-        self, egraph: EGraph, since: Optional[int] = None
-    ) -> Optional[List[Tuple[int, str, int]]]:
-        """The relational engine's join order on *egraph*, for introspection.
-
-        Returns ``(atom index, op name, relation size)`` triples in the
-        order the join would execute them, or None when the pattern would
-        run on the scan engine.  With *since*, the root atom's size is its
-        *delta* relation's (the plan the incremental search runs).  The
-        plan depends only on deterministic inputs (relation sizes,
-        interned op ids, pre-order atom indices), never on hash iteration
-        order — the determinism test asserts this across
-        ``PYTHONHASHSEED`` values.
-        """
-
-        if self._atoms is None or not columns.HAVE_NUMPY:
-            return None
-        sizes: List[int] = []
-        op_ids: List[int] = []
-        for ai, atom in enumerate(self._atoms):
-            op_id = egraph._op_ids.get(atom.op)
-            if atom.payload is not None:
-                pids = egraph.payload_ids_matching(atom.payload)
-            else:
-                pids = None
-            if op_id is None or (atom.payload is not None and not pids):
-                rel = None
-            elif ai == 0 and since is not None:
-                rel = _pattern_delta_relation(egraph, atom, op_id, pids, since)
-            else:
-                rel = _pattern_relation(egraph, atom, op_id, pids)
-            sizes.append(0 if rel is None else rel["n"])
-            op_ids.append(-1 if op_id is None else op_id)
-        atoms = self._atoms
-        plan = [(0, atoms[0].op, sizes[0])]
-        bound = {atoms[0].class_var}
-        bound.update(atoms[0].child_vars)
-        remaining = list(range(1, len(atoms)))
-        while remaining:
-            best = None
-            for ai in remaining:
-                atom = atoms[ai]
-                if atom.class_var not in bound and not any(
-                    v in bound for v in atom.child_vars
-                ):
-                    continue
-                cand = (sizes[ai], op_ids[ai], ai)
-                if best is None or cand < best:
-                    best = cand
-            ai = best[2]
-            remaining.remove(ai)
-            plan.append((ai, atoms[ai].op, sizes[ai]))
-            bound.add(atoms[ai].class_var)
-            bound.update(atoms[ai].child_vars)
-        return plan
 
 
 @lru_cache(maxsize=None)
@@ -1147,132 +657,6 @@ def compile_row_applier(pattern: Pattern, lhs_vars: Tuple[str, ...]):
 
     positions = {name: i + 1 for i, name in enumerate(lhs_vars)}
     return _InstantiatorCodegen(positions).build_batch(pattern)
-
-
-@lru_cache(maxsize=None)
-def compile_rhs_plan(pattern: Pattern, lhs_vars: Tuple[str, ...]):
-    """Probe plan of a pattern applier for the vectorised purity prepass.
-
-    Flattens *pattern* into a postorder node list; each node is
-    ``(op name, payload, child refs)`` where a ref is ``(0, row column)``
-    for a searcher variable (1-based — row column 0 is the matched class)
-    or ``(1, node index)`` for an inner node's result.  Returns
-    ``(nodes, root ref)``.  The plan drives :func:`rhs_pure_partition`:
-    probing every node of every match row against the columnar hashcons
-    index in one vector pass per node.
-    """
-
-    positions = {name: i + 1 for i, name in enumerate(lhs_vars)}
-    nodes: List[tuple] = []
-
-    def walk(node: PatternNode):
-        if isinstance(node, PatternVar):
-            return (0, positions[node.name])
-        refs = tuple(walk(child) for child in node.children)
-        nodes.append((node.op, node.payload, refs))
-        return (1, len(nodes) - 1)
-
-    root = walk(pattern)
-    return tuple(nodes), root
-
-
-def rhs_pure_partition(eg: EGraph, plan, mat):
-    """Partition the match rows of *mat* by what applying each would do.
-
-    *mat* is the whole batch as an int64 matrix (handed over by the join
-    engine or converted once per apply call).  Evaluates *plan* bottom-up
-    over the rows with vectorised hashcons probes
-    (:meth:`EGraph._probe_index`) — no graph mutation.  Returns
-    ``(status, ra, rb, proof)`` aligned with *mat*:
-
-    * status 0 — **pure**: every RHS node already interned and the final
-      merge would be a no-op (``ra == rb``).  Applying such a row touches
-      nothing — not the hashcons, not the union-find, not the node count —
-      so the batched applier skips it outright.
-    * status 1 — **merge**: every node interned but ``ra != rb``; ``ra``
-      holds the canonical instantiation root to merge with the row's
-      canonicalised matched class ``rb``.
-    * status 2 — **opaque**: some probe missed; the row must run the
-      scalar applier (its adds and analysis hooks must fire in row order).
-
-    ``proof`` is an ``n x k`` int64 matrix holding, per row, every
-    canonical class id the verdict depended on: the canonicalised probe
-    children, each node's hashcons hit, and the two roots.  A verdict
-    stays exact across later *adds* (the hashcons only gains keys —
-    existing entries and the union-find are untouched) and across later
-    *unions that don't move any of the row's proof ids*: a union can only
-    change the row's reference behaviour by re-rooting one of the ids its
-    probes or final merge read, and a re-rooted id is exactly one whose
-    entry stops being a union-find root.  The batched applier exploits
-    this to revalidate verdicts with one gather instead of re-probing.
-
-    Returns None when a probe index would overflow its int64 encoding —
-    the caller falls back to the scalar loop.
-    """
-
-    np = columns.np
-    nodes, root = plan
-    # fully-compressed roots: every canonicalisation is one gather
-    roots = eg._np_roots()
-    n = len(mat)
-    alive = np.ones(n, dtype=bool)
-    vals: List[object] = []
-    proof_cols: List[object] = []
-    payload_ids = eg._payload_ids
-    zeros = None
-    for op_name, payload, refs in nodes:
-        op_id = eg._op_ids.get(op_name)
-        pid = (
-            0
-            if payload is None
-            else payload_ids.get((type(payload).__name__, payload))
-        )
-        index = (
-            None
-            if op_id is None or pid is None
-            else eg._probe_index(op_id, pid, len(refs))
-        )
-        if index is False:
-            return None
-        if index is None:
-            # shape absent from the graph: every (still-alive) row misses
-            alive[:] = False
-            if zeros is None:
-                zeros = np.zeros(n, dtype=np.int64)
-            vals.append(zeros)
-            continue
-        codes, pvals, base = index
-        cand = np.zeros(n, dtype=np.int64)
-        inbase = None
-        for kind, r in refs:
-            col = mat[:, r] if kind == 0 else vals[r]
-            child = roots[col] if kind == 0 else col
-            if kind == 0:
-                proof_cols.append(child)
-            # the index is a sub-snapshot: a child class allocated after
-            # it was built breaks the Horner injectivity, so such rows
-            # must read as misses (conservatively opaque), never as
-            # accidental code collisions
-            ok = child < base
-            inbase = ok if inbase is None else (inbase & ok)
-            cand = cand * base + child
-        pos = np.searchsorted(codes, cand)
-        pos_safe = np.minimum(pos, len(codes) - 1)
-        hit = codes[pos_safe] == cand
-        if inbase is not None:
-            hit &= inbase
-        alive &= hit
-        found = roots[np.where(hit, pvals[pos_safe], 0)]
-        proof_cols.append(found)
-        vals.append(found)
-    kind, r = root
-    ra = roots[mat[:, r]] if kind == 0 else vals[r]
-    rb = roots[mat[:, 0]]
-    proof_cols.append(ra)
-    proof_cols.append(rb)
-    status = np.where(alive, np.where(ra == rb, 0, 1), 2).astype(np.int8)
-    proof = np.column_stack(proof_cols)
-    return status, ra, rb, proof
 
 
 # ---------------------------------------------------------------------------

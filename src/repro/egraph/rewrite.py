@@ -21,22 +21,18 @@ pattern-applier rules.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from itertools import chain
+from dataclasses import dataclass
 from typing import Callable, List, Optional, Tuple, Union
 
-from repro.egraph import columns
 from repro.egraph.egraph import EGraph
 from repro.egraph.pattern import (
     CompiledPattern,
     Pattern,
     Substitution,
     compile_pattern,
-    compile_rhs_plan,
     compile_row_applier,
     compile_row_instantiator,
     parse_pattern,
-    rhs_pure_partition,
 )
 
 __all__ = ["Rewrite", "rewrite"]
@@ -76,21 +72,15 @@ class Rewrite:
         self._inst_rows = None
         self._apply_rows_fn = None
         self._bare_idx: Optional[int] = None
-        self._rhs_plan = None
-        self._batch_cooldown = 0
-        self._batch_bails = 0
         compiled_rhs = self._compiled_rhs
         if compiled_rhs is not None and self.guard is None:
             lhs_vars = self._compiled.vars
             if compiled_rhs._bare_var is not None:
                 if compiled_rhs._bare_var in lhs_vars:
                     self._bare_idx = 1 + lhs_vars.index(compiled_rhs._bare_var)
-                    # degenerate probe plan: no nodes, root reads the row
-                    self._rhs_plan = ((), (0, self._bare_idx))
             elif all(name in lhs_vars for name in compiled_rhs.vars):
                 self._inst_rows = compile_row_instantiator(self.applier, lhs_vars)
                 self._apply_rows_fn = compile_row_applier(self.applier, lhs_vars)
-                self._rhs_plan = compile_rhs_plan(self.applier, lhs_vars)
 
     @property
     def rows_capable(self) -> bool:
@@ -152,10 +142,7 @@ class Rewrite:
 
         rows = self._compiled.search_rows(egraph, since)
         if limit is not None and len(rows) > limit:
-            if type(rows) is columns.RowBatch:
-                rows = columns.RowBatch(rows.mat[:limit])
-            else:
-                del rows[limit:]
+            del rows[limit:]
         return rows
 
     def apply(
@@ -225,45 +212,9 @@ class Rewrite:
 
         Identical union sequence to :meth:`apply` on the equivalent dict
         matches (same builders, same staleness checks, same merge order) —
-        minus the per-match substitution dict.  Large batches first run a
-        vectorised purity prepass (:func:`rhs_pure_partition`): rows whose
-        application would be an invisible no-op — every RHS node already
-        interned, final merge a no-op — are skipped in bulk, rows needing
-        only a merge get it directly from the precomputed roots, and only
-        genuinely opaque rows (a probe missed: adds must fire) run the
-        scalar applier, in original row order.  A union after the prepass
-        doesn't force a re-probe: each verdict carries a proof-id row, and
-        a one-gather root check revalidates it (see
-        :func:`rhs_pure_partition`); rows whose proof moved fall back to
-        the scalar loop — which keeps the mutation sequence exactly the
-        scalar loop's.
+        minus the per-match substitution dict.
         """
 
-        if (
-            self._rhs_plan is not None
-            and self._rhs_plan[0]
-            and len(rows) >= 32
-            and columns.HAVE_NUMPY
-        ):
-            # adaptive gate: a batch that bailed (merge/miss-heavy — the
-            # e-graph is still growing under this rule) predicts the next
-            # few will too, so skip the prepass for a while.  Pure routing
-            # heuristic: both paths produce identical mutations.
-            if self._batch_cooldown > 0:
-                self._batch_cooldown -= 1
-            else:
-                mat = (
-                    rows.mat if type(rows) is columns.RowBatch else None
-                )
-                return self._apply_rows_batched(egraph, rows, mat)
-        return self._apply_rows_scalar(egraph, rows)
-
-    def _apply_rows_scalar(self, egraph: EGraph, rows) -> int:
-        if type(rows) is columns.RowBatch:
-            # bulk .tolist() rows (lists of Python ints) — the generated
-            # loop only indexes them, and skipping the per-row tuple()
-            # halves the materialisation cost
-            rows = rows.mat.tolist()
         bare_idx = self._bare_idx
         if bare_idx is not None:
             applied = 0
@@ -284,120 +235,6 @@ class Rewrite:
         # generated batch loop: instantiate + staleness checks + merge,
         # with the prologue hoisted out of the per-match path
         return self._apply_rows_fn(egraph, rows)
-
-    def _apply_rows_batched(self, egraph, rows, mat=None) -> int:
-        """Prepass-driven :meth:`apply_rows` (see there for the contract).
-
-        The batch is partitioned lazily, one chunk at a time (verdicts are
-        row-independent, so a chunk's prepass is exact regardless of what
-        the sweep did before it) — a growth-heavy batch bails after paying
-        for a single chunk, not the whole batch.  Within a chunk, windows
-        are scanned for non-pure or proof-invalidated rows with one
-        vectorised root check, and only those rows run Python code (a
-        direct merge when the proof held, the scalar applier otherwise).
-        Every union re-checks the remaining window against a fresh
-        union-find snapshot, so each row's action is provably the one the
-        scalar loop would have taken in its place.
-        """
-
-        np = columns.np
-        n = len(rows)
-        if mat is None:
-            # flat fromiter is ~2x np.array(list-of-tuples): one C loop
-            # over a chained iterator instead of per-row sequence probing
-            width = len(rows[0])
-            mat = np.fromiter(
-                chain.from_iterable(rows), np.int64, count=n * width
-            ).reshape(n, width)
-        is_batch = type(rows) is columns.RowBatch
-        scalar_rest = self._apply_rows_scalar
-        merge_roots = egraph.merge_roots
-        flat = np.flatnonzero
-        applied = 0
-        PCHUNK = 4096
-        RCHUNK = 512
-        p = 0
-        while p < n:
-            pend = min(p + PCHUNK, n)
-            part = rhs_pure_partition(egraph, self._rhs_plan, mat[p:pend])
-            if part is None:
-                # probe-index encoding overflow: scalar remainder
-                self._batch_cooldown = 16
-                rest = (
-                    columns.RowBatch(mat[p:]) if is_batch else rows[p:]
-                )
-                return applied + scalar_rest(egraph, rest)
-            status, ra_arr, rb_arr, proof = part
-            m = pend - p
-            nonpure = m - int((status == 0).sum())
-            if nonpure > max(32, m >> 6):
-                # growth-heavy chunk: per-row work dominates anyway, and a
-                # union storm would thrash the revalidation — the scalar
-                # loop is strictly better here.  Bails escalate the
-                # cooldown exponentially (growth phases produce long runs
-                # of them, each costing a wasted chunk prepass); the first
-                # pure-dominated batch resets it, so steady-state
-                # saturation pays nothing.
-                self._batch_bails += 1
-                self._batch_cooldown = min(64, 2 << self._batch_bails)
-                rest = (
-                    columns.RowBatch(mat[p:]) if is_batch else rows[p:]
-                )
-                return applied + scalar_rest(egraph, rest)
-            self._batch_bails = 0
-            unions0 = egraph._n_unions
-            j = 0
-            while j < m:
-                end = min(j + RCHUNK, m)
-                okw = None
-                if egraph._n_unions != unions0:
-                    # unions moved some roots: one gather per window
-                    # proves which verdicts still hold (all proof ids
-                    # still union-find roots)
-                    pa = egraph._np_parent()
-                    pr = proof[j:end]
-                    okw = (pa[pr] == pr).all(axis=1)
-                    bad = flat((status[j:end] != 0) | ~okw)
-                else:
-                    bad = flat(status[j:end] != 0)
-                nb = len(bad)
-                bi = 0
-                dirty = False
-                while bi < nb:
-                    w = int(bad[bi])
-                    idx = j + w
-                    if status[idx] == 1 and (okw is None or okw[w]):
-                        # proof held: ra/rb are exactly the canonical
-                        # roots the scalar epilogue would compute here
-                        merge_roots(int(ra_arr[idx]), int(rb_arr[idx]))
-                        applied += 1
-                        j = idx + 1
-                        dirty = True
-                        break
-                    # scalar-bound run (opaque, or verdict invalidated):
-                    # extend over adjacent bad rows of the same kind — the
-                    # scalar loop is the reference semantics, so a
-                    # contiguous slice of it is exact no matter what
-                    # unions fire inside
-                    k = bi
-                    while k + 1 < nb and int(bad[k + 1]) == int(bad[k]) + 1:
-                        w2 = int(bad[k + 1])
-                        if status[j + w2] == 1 and (okw is None or okw[w2]):
-                            break
-                        k += 1
-                    hi = j + int(bad[k]) + 1
-                    applied += scalar_rest(egraph, rows[p + idx : p + hi])
-                    if egraph._n_unions != unions0:
-                        # a union voids the rest of this window's scan —
-                        # resume from the next row with a fresh root check
-                        j = hi
-                        dirty = True
-                        break
-                    bi = k + 1
-                if not dirty:
-                    j = end
-            p = pend
-        return applied
 
     def run(self, egraph: EGraph) -> int:
         """Search and apply in one step (rebuild is the caller's job)."""

@@ -772,11 +772,6 @@ class Runner:
         stats = report.rule_stats
         for rule in self.rewrites:
             stats[rule.name] = RuleStats(rule.name)
-            # adaptive apply-batching is a per-run signal: a cooldown left
-            # over from an earlier (e.g. warm-up) run on a different graph
-            # shape would suppress the batched path exactly where it wins
-            rule._batch_cooldown = 0
-            rule._batch_bails = 0
         scheduler.reset(self.rewrites)
         self._best_cost = None
         self._stale_evals = 0

@@ -11,7 +11,9 @@ exactly like the ``-ffast-math`` / ``-gpu=fastmath`` flags used in §VII).
 kernel by analysing how each name is used: loop bounds become small
 integers, index-like scalars become valid indices, everything else becomes
 a random double, and arrays are sized from the observed subscript ranks and
-literal indices.
+literal indices.  Arrays read inside a subscript or a loop bound (CSR
+``rowstr``/``colidx`` style) hold valid integer indices instead, sorted
+when they bound a loop.
 """
 
 from __future__ import annotations
@@ -44,6 +46,8 @@ class KernelInputs:
     scalars: Set[str] = field(default_factory=set)
     #: names used as loop bounds or in index arithmetic (should be integers)
     integer_like: Set[str] = field(default_factory=set)
+    #: names read in a loop header (``for`` init/cond/step, loop conditions)
+    loop_bounds: Set[str] = field(default_factory=set)
 
 
 def _array_access_chains(node: C.Node):
@@ -66,10 +70,13 @@ def _array_access_chains(node: C.Node):
     seen_subs: Set[int] = set()
     for n in C.walk(node):
         if isinstance(n, C.ArraySub) and id(n) not in seen_subs:
-            # only the outermost ArraySub of a chain
-            for inner in C.walk(n):
-                if isinstance(inner, C.ArraySub) and inner is not n:
-                    seen_subs.add(id(inner))
+            # only the outermost ArraySub of a chain: its bases are the
+            # same access, but subscripts read *inside* its indices (the
+            # ``colidx[k]`` of ``p[colidx[k]]``) are accesses of their own
+            inner = n.base
+            while isinstance(inner, C.ArraySub):
+                seen_subs.add(id(inner))
+                inner = inner.base
             name, indices = full_chain(n)
             if name is not None:
                 yield n, name, indices
@@ -113,11 +120,12 @@ def infer_kernel_inputs(node: C.Node) -> KernelInputs:
                     continue
                 for inner in C.walk(part):
                     if isinstance(inner, C.Ident):
-                        inputs.integer_like.add(inner.name)
+                        inputs.loop_bounds.add(inner.name)
         elif isinstance(n, (C.While, C.DoWhile)):
             for inner in C.walk(n.cond):
                 if isinstance(inner, C.Ident):
-                    inputs.integer_like.add(inner.name)
+                    inputs.loop_bounds.add(inner.name)
+    inputs.integer_like |= inputs.loop_bounds
 
     array_names = {name.split(".", 1)[0] for name in inputs.arrays} | set(inputs.arrays)
     math_names = {"sqrt", "fabs", "exp", "log", "pow", "sin", "cos", "fmin", "fmax",
@@ -155,7 +163,15 @@ def make_random_environment(
         dims = tuple(max(safe_extent, me) for me in (min_extents or (0,) * rank))
         if len(dims) < rank:
             dims = dims + (safe_extent,) * (rank - len(dims))
-        env.arrays[name] = rng.uniform(-scalar_range, scalar_range, size=dims)
+        if name in inputs.integer_like:
+            # read inside a subscript or a loop bound: every element must
+            # be a valid index, and bound arrays (CSR row starts) ascend
+            values = rng.integers(0, safe_extent, size=dims)
+            if name in inputs.loop_bounds:
+                values = np.sort(values, axis=None).reshape(dims)
+            env.arrays[name] = values
+        else:
+            env.arrays[name] = rng.uniform(-scalar_range, scalar_range, size=dims)
 
     for name in sorted(inputs.scalars):
         if name in inputs.integer_like:

@@ -16,10 +16,11 @@ the ``reject``/``shed`` policies use :attr:`full`, :meth:`worst_queued`
 and :meth:`steal` instead and never block.
 
 Lazy skipping leaves **tombstones** in the heap (entries whose job was
-stolen or discarded).  Mirroring ``ColumnStore.compact()``'s policy, the
-queue compacts whenever tombstones outnumber live entries — i.e. exceed
-half the heap — so the heap's size stays within 2x the live job count
-even under adversarial cancel/shed storms.
+stolen or discarded).  The queue compacts whenever tombstones outnumber
+live entries — i.e. exceed half the heap: each compaction then costs
+O(heap) but reclaims at least half of it, so the cost amortizes to O(1)
+per discard and the heap's size stays within 2x the live job count even
+under adversarial cancel/shed storms.
 """
 
 from __future__ import annotations
@@ -131,10 +132,9 @@ class JobQueue:
 
         Every live job has exactly one heap entry (a requeued job is only
         re-pushed after its pop removed both), so the tombstone count is
-        simply ``len(heap) - len(live)``.  The >half trigger is the same
-        amortization ``ColumnStore.compact()`` uses: each rebuild is
-        O(heap) but at least half the heap was garbage, so the cost
-        amortizes to O(1) per discard and the heap never exceeds
+        simply ``len(heap) - len(live)``.  The >half trigger amortizes:
+        each rebuild is O(heap) but at least half the heap was garbage, so
+        the cost is O(1) per discard and the heap never exceeds
         ``2 * live + 1`` entries.
         """
 

@@ -43,7 +43,10 @@ __all__ = [
 #: saturation outcomes are bit-identical by construction, but pickled
 #: e-graph-adjacent state (column mirrors, pending buffers) changed shape,
 #: so older artifacts must re-miss rather than unpickle into the new core.
-ENGINE_SCHEMA = "columnar-v4"
+#: scalar-v5: the columnar layer is gone — pickled e-graphs lose their
+#: ``store`` and per-class liveness mirror, so columnar-v4 artifacts must
+#: re-miss rather than unpickle stale attributes into the scalar core.
+ENGINE_SCHEMA = "scalar-v5"
 
 
 def fingerprint_text(text: str) -> str:

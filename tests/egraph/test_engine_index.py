@@ -155,6 +155,52 @@ class TestSearchEquivalence:
         assert any(eg.find(cid) == eg.find(root) for cid, _ in rescans)
 
 
+class TestRebuildSweep:
+    """The closing stale-key sweep of ``rebuild`` keeps the class key sets
+    and the boundary-view memo in step with the hashcons."""
+
+    def test_sweep_dedups_class_keys_so_scans_emit_no_duplicates(self):
+        """A spelling minted by one repair and re-keyed by a later one is
+        left stale in its class's key set; the sweep must swap it for the
+        canonical spelling, or the scan matcher (which walks the key sets)
+        finds the node twice and the node count drifts past the hashcons."""
+
+        eg = EGraph()
+        two, one, big = (
+            eg.add_term(parse_pattern(text).to_term({}))
+            for text in ("2", "1", "(+ (+ (+ y 1) 2) (* (+ y 2) x))")
+        )
+        eg.rebuild()
+        eg.merge(big, two)
+        eg.merge(two, one)
+        eg.rebuild()
+        eg.check_invariants()
+        assert len(eg) == len(eg.hashcons)
+        for text in ("(+ ?a ?b)", "(+ (+ ?a ?b) ?c)"):
+            rows = compile_pattern(parse_pattern(text)).search_rows(eg)
+            assert len(rows) == len(set(rows)), text
+
+    def test_view_memo_evicts_retired_spellings(self):
+        """Viewing every live key each round must not grow the memo unboundedly.
+
+        Merging chains re-spells nodes every rebuild; the sweep retires the
+        stale spellings and must drop their memoized views, so the memo stays
+        a subset of the live hashcons key set.
+        """
+
+        eg = EGraph()
+        base = eg.add_term(op("+", sym("x"), sym("y")))
+        for i in range(12):
+            other = eg.add_term(op("+", sym("x"), op("*", sym("y"), num(i))))
+            eg.merge(base, other)
+            eg.rebuild()
+            for key in list(eg.hashcons):
+                eg._view(key)  # populate the memo with every live spelling
+        live = set(eg.hashcons)
+        assert set(eg._views) <= live, "memo retains retired spellings"
+        assert len(eg._views) <= len(live)
+
+
 class TestRunnerEquivalence:
     def test_incremental_runner_matches_full_runner(self):
         """Indexed + incremental saturation produces the same e-graph and

@@ -20,6 +20,7 @@ from repro.egraph import (
     make_scheduler,
 )
 from repro.egraph.language import num, op, sym
+from repro.egraph.pattern import compile_pattern, parse_pattern
 from repro.egraph.rewrite import rewrite
 from repro.rules import constant_folding_analysis, default_ruleset
 
@@ -204,6 +205,47 @@ class TestMatchBudgetScheduler:
             for _ in range(3)
         }
         assert len(outcomes) == 1
+
+
+class _DropOnce(SimpleScheduler):
+    """Drops the target rule's entire first-iteration batch."""
+
+    name = "drop-once"
+
+    def __init__(self, target: str) -> None:
+        self.target = target
+        self.dropped = 0
+        self.refound = 0
+
+    def admit(self, iteration, index, rule, matches):
+        if rule.name == self.target:
+            if iteration == 0 and matches:
+                self.dropped = len(matches)
+                return [], False  # incomplete: the stamp must stay pinned
+            if iteration == 1:
+                self.refound = len(matches)
+        return matches, True
+
+
+class TestDroppedBatch:
+    def test_dropped_batch_is_refound_by_next_incremental_scan(self):
+        eg = EGraph()
+        eg.add_term(op("+", sym("p"), op("*", sym("q"), sym("r"))))
+        eg.rebuild()
+        rules = default_ruleset()
+        target = "comm-add"
+        assert any(r.name == target for r in rules)
+        sched = _DropOnce(target)
+        Runner(eg, rules, RunnerLimits(node_limit=500, iter_limit=3),
+               scheduler=sched).run()
+        assert sched.dropped > 0, "scheduler never saw the first batch"
+        # iteration 1 searches incrementally from the *pinned* stamp; the
+        # scan must surface at least every dropped match again
+        assert sched.refound >= sched.dropped
+        # and the matches were actually applied on the retry: the commuted
+        # spelling is interned
+        commuted = compile_pattern(parse_pattern("(+ (* ?a ?b) ?c)"))
+        assert commuted.search_rows(eg)
 
 
 class TestAnytimeExtraction:

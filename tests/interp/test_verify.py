@@ -1,13 +1,17 @@
 """Tests for the equivalence checker and random-input generation."""
 
 import numpy as np
+import pytest
 
+from repro.benchsuite.npb.cg import CG_SPMV_SOURCE
 from repro.frontend import parse_statement
+from repro.frontend.normalize import normalize_blocks
 from repro.interp import (
     infer_kernel_inputs,
     make_random_environment,
     verify_equivalence,
 )
+from repro.saturator import SaturatorConfig, Variant, optimize_source
 
 KERNEL = """
 for (i = 1; i < n - 1; i++) {
@@ -79,3 +83,34 @@ class TestVerifyEquivalence:
         result = verify_equivalence(a, b, trials=1)
         assert not result.passed
         assert result.max_difference > 0
+
+
+class TestIndirectIndexing:
+    """CSR-style kernels read arrays inside subscripts and loop bounds
+    (CG's ``p[colidx[k]]`` under ``k < rowstr[j+1]``)."""
+
+    def test_subscript_reads_are_inferred_as_arrays(self):
+        inputs = infer_kernel_inputs(parse_statement(CG_SPMV_SOURCE))
+        assert inputs.arrays["colidx"][0] == 1
+        assert inputs.arrays["rowstr"][0] == 1
+        assert "colidx" not in inputs.scalars
+
+    def test_index_arrays_hold_valid_indices(self):
+        env = make_random_environment(
+            parse_statement(CG_SPMV_SOURCE), np.random.default_rng(0)
+        )
+        rowstr, colidx = env.arrays["rowstr"], env.arrays["colidx"]
+        assert np.issubdtype(rowstr.dtype, np.integer)
+        assert np.issubdtype(colidx.dtype, np.integer)
+        assert (np.diff(rowstr) >= 0).all()  # loop-bound array ascends
+        assert ((colidx >= 0) & (colidx < len(env.arrays["p"]))).all()
+        assert ((rowstr >= 0) & (rowstr <= len(env.arrays["a"]))).all()
+
+    @pytest.mark.parametrize("variant", list(Variant), ids=lambda v: v.value)
+    def test_cg_spmv_verifies_for_every_variant(self, variant):
+        original = parse_statement(CG_SPMV_SOURCE)
+        normalize_blocks(original)
+        result = optimize_source(CG_SPMV_SOURCE, SaturatorConfig(variant=variant))
+        optimized = parse_statement(result.code)
+        check = verify_equivalence(original, optimized, trials=3, seed=0)
+        assert check.passed, check.message
